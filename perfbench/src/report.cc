@@ -211,15 +211,22 @@ void Account(const std::string& label, double untraced_ms, double traced_ms,
              Outcome* out) {
   const double overhead = traced_ms - untraced_ms;
   const double gap = untraced_ms > 0 ? std::abs(overhead) / untraced_ms : 1.0;
+  // layers + remainder is the traced total by construction; the bound is
+  // on the tracing overhead, and the shares show how much of the untraced
+  // time the named layers explain.
+  const double remainder_ms = traced_ms - layers_ms;
+  auto share = [&](double ms) {
+    return untraced_ms > 0 ? 100.0 * ms / untraced_ms : 0.0;
+  };
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "accounting %s: untraced %.4f ms; traced %.4f ms = layers "
-                "%.4f ms (%.1f%% of untraced) + remainder %.4f ms [%s]; "
-                "tracing overhead %+.4f ms (%+.1f%%); within %.0f%%: %s",
+                "%.4f ms (%.1f%% of untraced) + remainder %.4f ms (%.1f%% of "
+                "untraced) [%s]; tracing overhead %+.4f ms (%+.1f%%) within "
+                "%.0f%%: %s",
                 label.c_str(), untraced_ms, traced_ms, layers_ms,
-                untraced_ms > 0 ? 100.0 * layers_ms / untraced_ms : 0.0,
-                traced_ms - layers_ms, remainder_name.c_str(), overhead,
-                untraced_ms > 0 ? 100.0 * overhead / untraced_ms : 0.0,
+                share(layers_ms), remainder_ms, share(remainder_ms),
+                remainder_name.c_str(), overhead, share(overhead),
                 100.0 * kAccountingBound,
                 gap <= kAccountingBound ? "yes" : "NO");
   out->Note(buf);

@@ -12,7 +12,8 @@
 //               same-timestamp queries (6 entity, 2 relation) with uniform
 //               ids. A first round from one client, one frame per shard
 //               per timestamp, pays each (timestamp, shard)'s history
-//               encode; the timed loop then sends frames to random shards.
+//               encode; in the timed loop each client keeps to a replica
+//               of its own.
 //               The cache almost never hits.
 //
 // Snapshots carry random-init weights: serving cost does not depend on
@@ -354,9 +355,12 @@ void ClientLoop(const LoadSpec& spec, int client, uint64_t seed,
         }
       }
     }
-    if (frames % 37 == 0 && out->samples.size() < kMaxSamples &&
-        !results.empty() && results[0].ok()) {
-      out->samples.push_back({queries[0], results[0].value()});
+    // Every answer of a sampled frame goes to the oracle: on serve_cold
+    // that is entity and relation queries at every position of the batch.
+    if (frames % 37 == 0 && out->samples.size() < kMaxSamples) {
+      for (size_t i = 0; i < results.size(); ++i) {
+        if (results[i].ok()) out->samples.push_back({queries[i], results[i].value()});
+      }
       if (out->frames.size() < 256) out->frames.push_back(queries);
     }
     ++frames;
@@ -384,12 +388,12 @@ void ClientLoop(const LoadSpec& spec, int client, uint64_t seed,
   for (int64_t round = 0; round == 0 || Clock::now() < deadline; ++round) {
     for (int64_t t : mine) {
       for (int64_t j = 0; j < kShards; ++j) {
-        // The cold round staggers clients over the shards; later rounds
-        // pick a shard at random, so clients never lock into the same
-        // replica in step.
+        // The cold round covers every (timestamp, shard); later rounds
+        // keep each client on a replica of its own, so no frame queues
+        // behind another client's.
         const int64_t shard = round == 0 && !spec.skip_cold_round
                                   ? (client + j) % kShards
-                                  : rng.UniformInt(0, kShards - 1);
+                                  : client % kShards;
         const std::vector<int64_t>& subjects = spec.subjects[shard];
         std::vector<Query> queries;
         for (int64_t i = 0; i < kColdBatch; ++i) {

@@ -11,6 +11,8 @@
 // are spanned; the replay's epoch losses must equal the plain run's bit
 // for bit.
 
+#include <algorithm>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -34,7 +36,7 @@ using Queries = std::vector<std::pair<int64_t, int64_t>>;
 
 constexpr int64_t kEpochs = 2;
 constexpr int kSetups = 21;
-constexpr int kEvalRepeats = 4;
+constexpr int kEvalRepeats = 12;
 
 retia::tkg::SyntheticConfig Profile(uint64_t seed) {
   retia::tkg::SyntheticConfig profile = retia::tkg::SyntheticConfig::Icews14Like();
@@ -291,7 +293,7 @@ Outcome RunTrain(const Options& options) {
     steps += round_steps;
 
     // The trained model ranks the test split kEvalRepeats times: one
-    // ranking takes about half a second, too short to time alone on a
+    // ranking takes about 0.2 s, too short to time alone on a
     // shared host. Every repeat must give the same metrics.
     retia::eval::EvalResult trained;
     for (int repeat = 0; repeat < kEvalRepeats; ++repeat) {
@@ -342,6 +344,15 @@ Outcome RunTrain(const Options& options) {
   out.Note("train: " + std::to_string(rounds) + " rounds of " +
            std::to_string(kEpochs) + " epochs; " + std::to_string(steps) +
            " steps, " + std::to_string(queries) + " ranked queries");
+  {
+    char line[160];
+    std::snprintf(line, sizeof(line),
+                  "train: %zu test rankings, %.0f to %.0f queries/s",
+                  eval_rates.size(),
+                  *std::min_element(eval_rates.begin(), eval_rates.end()),
+                  *std::max_element(eval_rates.begin(), eval_rates.end()));
+    out.Note(line);
+  }
   out.Add("setup_s", Median(setup_s), "s");
   out.Add("train_steps_per_s", steps / train_seconds, "steps/s");
   out.Add("eval_queries_per_s", Median(eval_rates), "queries/s");
