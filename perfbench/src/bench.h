@@ -32,10 +32,11 @@ struct Options {
 };
 
 // Where a reported number comes from. Spans are timed by this benchmark
-// around public calls; the other two are read from the program's own
-// stats, whose histograms keep whole microseconds and power-of-two
-// buckets (see README.md).
-enum class Source { kMeasured, kSpan, kReplicaStats, kObsRegistry };
+// around public calls; replica and obs figures are read from the program's
+// own stats, whose histograms keep whole microseconds and power-of-two
+// buckets (see README.md). kNotReached marks a per-layer metric of a
+// layer the workload never calls, reported as 0.
+enum class Source { kMeasured, kSpan, kReplicaStats, kObsRegistry, kNotReached };
 
 struct Metric {
   std::string name;

@@ -9,6 +9,7 @@
 //   {"correct": true, "attempted": N, "failed": 0, "metrics": {...}}
 // Exits non-zero when an oracle rejects an output.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -16,6 +17,7 @@
 #include <exception>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "bench.h"
 
@@ -28,9 +30,55 @@ const char* SourceName(Source source) {
     case Source::kSpan: return "benchmark span";
     case Source::kReplicaStats: return "replica StatsJson";
     case Source::kObsRegistry: return "obs registry";
+    case Source::kNotReached: return "layer not reached";
   }
   return "?";
 }
+
+// The metrics BENCHMARK.json names, in its order. Every untraced run
+// prints each end-to-end metric; every traced run prints each per-layer
+// metric, and one of a layer the workload does not reach reads 0.
+struct MetricName {
+  const char* name;
+  const char* unit;
+};
+constexpr MetricName kEndToEnd[] = {
+    {"setup_s", "s"},
+    {"latency_ms", "ms"},
+    {"peak_rss_mb", "MB"},
+};
+constexpr MetricName kPerLayer[] = {
+    {"graph.prefetch.us", "us"},
+    {"core.evolve.us", "us"},
+    {"core.loss.us", "us"},
+    {"core.score.us", "us"},
+    {"core.decode.entity.us", "us"},
+    {"core.decode.relation.us", "us"},
+    {"eval.topk.us", "us"},
+    {"eval.rank.us", "us"},
+    {"tensor.backward.us", "us"},
+    {"nn.clip.us", "us"},
+    {"nn.adam.us", "us"},
+    {"tensor.gemm.us", "us"},
+    {"tensor.gemm_bwd.us", "us"},
+    {"tensor.conv1d.us", "us"},
+    {"tensor.softmax.us", "us"},
+    {"tensor.gather.us", "us"},
+    {"tensor.scatter_add.us", "us"},
+    {"serve.cache.hit_ratio", "ratio"},
+    {"serve.engine.queue_wait.us", "us"},
+    {"serve.engine.compute.us", "us"},
+    {"serve.engine.batch_size", "queries"},
+    {"serve.router.frame_size", "queries"},
+    {"serve.wire.us", "us"},
+    {"serve.transport.us", "us"},
+    {"stream.ingest.us", "us"},
+    {"stream.advance.us", "us"},
+    {"stream.finetune.us", "us"},
+    {"stream.publish.us", "us"},
+    {"ckpt.save.us", "us"},
+    {"ckpt.save.bytes", "bytes"},
+};
 
 void Usage() {
   std::cerr << "usage: perfbench --workload train|serve_hot|serve_cold|stream"
@@ -86,15 +134,47 @@ int Run(const Options& options) {
     std::cout << "# ORACLE FAILED: " << error << "\n";
     std::cerr << "perfbench: oracle failed: " << error << "\n";
   }
+  // End-to-end metrics come from untraced runs only, per-layer metrics
+  // from traced ones.
+  std::vector<Metric> reported;
+  if (options.trace) {
+    for (const MetricName& spec : kPerLayer) {
+      reported.push_back({spec.name, 0.0, spec.unit, Source::kNotReached});
+    }
+  } else {
+    for (const MetricName& spec : kEndToEnd) {
+      reported.push_back({spec.name, std::nan(""), spec.unit});
+    }
+  }
+  for (const Metric& m : outcome.metrics) {
+    auto it = std::find_if(reported.begin(), reported.end(),
+                           [&](const Metric& r) { return r.name == m.name; });
+    if (it == reported.end()) {
+      // A per-layer metric in an untraced run (or the reverse) is dropped;
+      // one the manifest does not name is a bug of this benchmark.
+      const bool known =
+          std::any_of(std::begin(kEndToEnd), std::end(kEndToEnd),
+                      [&](const MetricName& n) { return m.name == n.name; }) ||
+          std::any_of(std::begin(kPerLayer), std::end(kPerLayer),
+                      [&](const MetricName& n) { return m.name == n.name; });
+      if (!known) {
+        std::cerr << "perfbench: metric " << m.name << " is not in the manifest\n";
+        return 1;
+      }
+      continue;
+    }
+    if (m.unit != it->unit) {
+      std::cerr << "perfbench: metric " << m.name << " in " << m.unit
+                << ", the manifest says " << it->unit << "\n";
+      return 1;
+    }
+    *it = m;
+  }
   std::string metrics;
   char buf[64];
-  for (const Metric& m : outcome.metrics) {
-    // End-to-end metrics come from untraced runs only, per-layer metrics
-    // (dotted names) from traced ones.
-    const bool per_layer = m.name.find('.') != std::string::npos;
-    if (per_layer != options.trace) continue;
+  for (const Metric& m : reported) {
     if (!std::isfinite(m.value)) {
-      std::cerr << "perfbench: metric " << m.name << " is not finite\n";
+      std::cerr << "perfbench: metric " << m.name << " is missing or not finite\n";
       return 1;
     }
     std::cout << "# " << m.name << " = " << m.value << " " << m.unit << "  ["

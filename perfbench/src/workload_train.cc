@@ -345,17 +345,20 @@ Outcome RunTrain(const Options& options) {
            std::to_string(kEpochs) + " epochs; " + std::to_string(steps) +
            " steps, " + std::to_string(queries) + " ranked queries");
   {
-    char line[160];
+    char line[200];
     std::snprintf(line, sizeof(line),
-                  "train: %zu test rankings, %.0f to %.0f queries/s",
-                  eval_rates.size(),
+                  "train (not pinned): %.3f steps/s; %zu test rankings, %.0f "
+                  "to %.0f queries/s, median %.1f",
+                  steps / train_seconds, eval_rates.size(),
                   *std::min_element(eval_rates.begin(), eval_rates.end()),
-                  *std::max_element(eval_rates.begin(), eval_rates.end()));
+                  *std::max_element(eval_rates.begin(), eval_rates.end()),
+                  Median(eval_rates));
     out.Note(line);
   }
+  // latency: wall time per gradient step of TrainGeneral (one step per
+  // training timestamp with history, per-epoch validation included).
   out.Add("setup_s", Median(setup_s), "s");
-  out.Add("train_steps_per_s", steps / train_seconds, "steps/s");
-  out.Add("eval_queries_per_s", Median(eval_rates), "queries/s");
+  out.Add("latency_ms", train_seconds * 1e3 / steps, "ms");
   if (!options.trace) return out;
 
   // ---- Traced replay ------------------------------------------------------
